@@ -80,15 +80,37 @@ type binType struct {
 	signed bool
 }
 
-// The element-type codes. Index = wire value; 0xFF (binTypeRaw) marks a
-// payload packed as raw 8-byte little-endian int64s — the lossless fallback
-// when a payload value does not fit its object's element width.
+// The element-type codes (wire values). 0xFF (binTypeRaw) marks a payload
+// packed as raw 8-byte little-endian int64s — the lossless fallback when a
+// payload value does not fit its object's element width.
+const (
+	binInt8 byte = iota
+	binInt16
+	binInt32
+	binInt64
+	binUInt8
+	binUInt16
+	binUInt32
+	binUInt64
+
+	binTypeRaw byte = 0xFF
+)
+
+// binTypes describes each element-type code. Index = wire value.
 var binTypes = []binType{
-	{"int8", 1, true}, {"int16", 2, true}, {"int32", 4, true}, {"int64", 8, true},
-	{"uint8", 1, false}, {"uint16", 2, false}, {"uint32", 4, false}, {"uint64", 8, false},
+	binInt8: {"int8", 1, true}, binInt16: {"int16", 2, true},
+	binInt32: {"int32", 4, true}, binInt64: {"int64", 8, true},
+	binUInt8: {"uint8", 1, false}, binUInt16: {"uint16", 2, false},
+	binUInt32: {"uint32", 4, false}, binUInt64: {"uint64", 8, false},
 }
 
-const binTypeRaw = 0xFF
+// packedWidth returns the bytes per payload element under type code code.
+func packedWidth(code byte) int {
+	if code == binTypeRaw {
+		return 8
+	}
+	return binTypes[code].bytes
+}
 
 var (
 	binKindCode = func() map[Kind]byte {
@@ -316,7 +338,7 @@ func (bw *binWriter) Write(rec *Record) error {
 // first; frames then go to the buffered writer directly, already batched at
 // frame granularity.
 func (bw *binWriter) payload(rec *Record) error {
-	code := byte(binTypeRaw)
+	code := binTypeRaw
 	if tc, ok := bw.objTypes[rec.Obj]; ok {
 		code = tc
 		for _, v := range rec.Data {
@@ -330,10 +352,7 @@ func (bw *binWriter) payload(rec *Record) error {
 	if err := bw.flush(); err != nil {
 		return err
 	}
-	width := 8
-	if code != binTypeRaw {
-		width = binTypes[code].bytes
-	}
+	width := packedWidth(code)
 	if cap(bw.packbuf) < payloadFrameElems*width {
 		bw.packbuf = make([]byte, payloadFrameElems*width)
 	}
@@ -487,9 +506,8 @@ type binSource struct {
 	// Pending-payload state (the h2d record most recently returned).
 	pending  bool
 	pendCode byte
-	chunkBuf []int64
-	packbuf  []byte
-	ended    bool // end-of-stream marker consumed
+	chunkBuf []int64 // grown on demand to the frame being read
+	ended    bool    // end-of-stream marker consumed
 }
 
 // newBinSource parses the magic, version, and header (the magic is assumed
@@ -577,7 +595,10 @@ func (s *binSource) PendingPayload() bool { return s.pending }
 
 // NextPayloadChunk returns the next payload frame of the pending h2d
 // record, or io.EOF after the terminating zero-count frame. The returned
-// slice is reused by the next call.
+// slice is reused by the next call. The chunk buffer grows to the frame
+// actually read (at most maxFrameElems), and frames unpack straight out of
+// the reader's buffer, so a small payload costs a small allocation and no
+// packed copy.
 func (s *binSource) NextPayloadChunk() ([]int64, error) {
 	if !s.pending {
 		return nil, io.EOF
@@ -595,65 +616,63 @@ func (s *binSource) NextPayloadChunk() ([]int64, error) {
 		s.pending = false
 		return nil, fmt.Errorf("cmdstream: decode payload: frame of %d elements exceeds limit", n)
 	}
-	width := 8
-	if s.pendCode != binTypeRaw {
-		width = binTypes[s.pendCode].bytes
-	}
-	if cap(s.packbuf) < int(n)*width {
-		s.packbuf = make([]byte, payloadFrameElems*width)
-	}
-	buf := s.packbuf[:int(n)*width]
-	if _, err := io.ReadFull(s.r, buf); err != nil {
-		s.pending = false
-		return nil, binErr("payload frame", err)
-	}
 	if cap(s.chunkBuf) < int(n) {
-		s.chunkBuf = make([]int64, payloadFrameElems)
+		s.chunkBuf = make([]int64, n)
 	}
 	chunk := s.chunkBuf[:n]
-	unpackChunk(chunk, buf, width, s.pendCode)
+	width := packedWidth(s.pendCode)
+	// Unpack in pieces that fit the reader's buffer, so each Peek is
+	// served from it without an intermediate copy.
+	step := s.r.Size() / width
+	for lo := 0; lo < len(chunk); lo += step {
+		piece := chunk[lo:min(lo+step, len(chunk))]
+		buf, err := s.r.Peek(len(piece) * width)
+		if err != nil {
+			s.pending = false
+			return nil, binErr("payload frame", err)
+		}
+		unpackChunk(piece, buf, s.pendCode)
+		s.r.Discard(len(buf))
+	}
 	return chunk, nil
 }
 
-// unpackChunk decodes a packed little-endian frame into chunk. The
-// per-width loops keep the element stride constant so the compiler can
-// unroll and bounds-check-eliminate them — the generic dynamic-width loop
-// showed up as ~25% of pipeline decode CPU.
-func unpackChunk(chunk []int64, buf []byte, width int, code byte) {
-	switch width {
-	case 1:
+// unpackChunk decodes len(chunk) little-endian elements packed under type
+// code code from buf. Each code has its own loop with a constant stride
+// and a single conversion, in place of a per-element width lookup and
+// sign branch; the 8-byte codes (int64, uint64, raw) share one, since all
+// three carry the value's bits unchanged.
+func unpackChunk(chunk []int64, buf []byte, code byte) {
+	switch code {
+	case binInt8:
+		buf = buf[:len(chunk)]
 		for i := range chunk {
-			chunk[i] = unpackElem(uint64(buf[i]), code)
+			chunk[i] = int64(int8(buf[i]))
 		}
-	case 2:
+	case binUInt8:
+		buf = buf[:len(chunk)]
 		for i := range chunk {
-			chunk[i] = unpackElem(uint64(binary.LittleEndian.Uint16(buf[i*2:])), code)
+			chunk[i] = int64(buf[i])
 		}
-	case 4:
+	case binInt16:
 		for i := range chunk {
-			chunk[i] = unpackElem(uint64(binary.LittleEndian.Uint32(buf[i*4:])), code)
+			chunk[i] = int64(int16(binary.LittleEndian.Uint16(buf[i*2:])))
 		}
-	case 8:
-		if code == binTypeRaw {
-			for i := range chunk {
-				chunk[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
-			}
-			return
-		}
+	case binUInt16:
 		for i := range chunk {
-			chunk[i] = unpackElem(binary.LittleEndian.Uint64(buf[i*8:]), code)
+			chunk[i] = int64(binary.LittleEndian.Uint16(buf[i*2:]))
+		}
+	case binInt32:
+		for i := range chunk {
+			chunk[i] = int64(int32(binary.LittleEndian.Uint32(buf[i*4:])))
+		}
+	case binUInt32:
+		for i := range chunk {
+			chunk[i] = int64(binary.LittleEndian.Uint32(buf[i*4:]))
 		}
 	default:
 		for i := range chunk {
-			var raw uint64
-			for b := 0; b < width; b++ {
-				raw |= uint64(buf[i*width+b]) << (8 * b)
-			}
-			if code == binTypeRaw {
-				chunk[i] = int64(raw)
-			} else {
-				chunk[i] = unpackElem(raw, code)
-			}
+			chunk[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package cmdstream_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"pimeval/internal/cmdstream"
+	"pimeval/internal/device"
 	"pimeval/internal/dram"
 )
 
@@ -237,6 +239,87 @@ func TestBinaryTruncation(t *testing.T) {
 	}
 }
 
+// oversizedFrameStream returns a valid binary stream that uploads a
+// 200000-element uint8 payload as one frame — larger than the canonical
+// frames an encoder emits, but within the decoder's frame limit — followed
+// by a reduction over it. It also returns the stream as decoded.
+func oversizedFrameStream(tb testing.TB) ([]byte, *cmdstream.Stream) {
+	tb.Helper()
+	const n = 200000
+	data := make([]int64, n)
+	var sum int64
+	for i := range data {
+		data[i] = int64(i*7+3) & 0xFF
+		sum += data[i]
+	}
+	alloc := cmdstream.Record{Kind: cmdstream.KindAlloc, Seq: 1, Obj: 1, Type: "uint8", N: n}
+	s := &cmdstream.Stream{Header: fullStream().Header, Records: []cmdstream.Record{
+		alloc,
+		{Kind: cmdstream.KindCopyH2D, Seq: 2, Obj: 1, Data: data},
+		{Kind: cmdstream.KindExec, Seq: 3, Form: cmdstream.FormRedSum, Op: "redsum", Type: "uint8", N: n, A: 1, Result: sum},
+	}}
+	encode := func(s *cmdstream.Stream) []byte {
+		var buf bytes.Buffer
+		if err := s.EncodeBinary(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	canonical := encode(s)
+	// The canonical payload sits between the alloc-only prefix (less its
+	// end marker) plus the h2d head — kind 3, seq 2, obj 1, payload flag,
+	// uint8 code 4 — and the reduction record; re-frame it as one frame.
+	prefix := encode(&cmdstream.Stream{Header: s.Header, Records: []cmdstream.Record{alloc}})
+	prefix = append(prefix[:len(prefix)-1:len(prefix)-1], 3, 2, 1, 1, 4)
+	if !bytes.HasPrefix(canonical, prefix) {
+		tb.Fatal("canonical encoding does not open with the expected h2d head")
+	}
+	var counts []byte // the canonical frames' count varints
+	for off := 0; off < n; off += 1 << 17 {
+		counts = binary.AppendUvarint(counts, uint64(min(n-off, 1<<17)))
+	}
+	suffix := canonical[len(prefix)+len(counts)+n+1:] // past the frames and the zero-count frame
+	b := binary.AppendUvarint(prefix, n)
+	for _, v := range data {
+		b = append(b, byte(v))
+	}
+	b = append(b, 0)
+	return append(b, suffix...), s
+}
+
+// TestOversizedPayloadFrame: a frame above the canonical frame size but
+// within the decoder's limit decodes to the same records as the canonical
+// encoding, and replays onto a device with the payload intact.
+func TestOversizedPayloadFrame(t *testing.T) {
+	in, want := oversizedFrameStream(t)
+	got, err := cmdstream.Decode(bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("oversized frame decoded to different records")
+	}
+	src, err := cmdstream.OpenSource(bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := device.NewFromHeader(want.Header, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The replay re-executes the reduction and fails on a mismatch.
+	if err := dev.ReplaySource(src); err != nil {
+		t.Fatal(err)
+	}
+	out, err := dev.CopyDeviceToHost(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, want.Records[1].Data) {
+		t.Error("replayed device data differs from the payload")
+	}
+}
+
 // headerEnd returns the offset just past the encoded header blob: magic,
 // version byte, uvarint length, and the length itself.
 func headerEnd(t *testing.T, b []byte) int {
@@ -318,6 +401,8 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Add([]byte("PIMB\x01"))
+	oversized, _ := oversizedFrameStream(f)
+	f.Add(oversized)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		src, err := cmdstream.OpenSource(bytes.NewReader(in))
 		if err != nil {

@@ -213,6 +213,44 @@ func (t DataType) Truncate(v int64) int64 {
 	return v
 }
 
+// TruncateInto stores Truncate(src[i]) into dst[i] for every element of
+// src; dst must be at least as long. Each type gets its own conversion
+// loop, so bulk copies avoid Truncate's per-element width lookup and sign
+// branch.
+func (t DataType) TruncateInto(dst, src []int64) {
+	dst = dst[:len(src)]
+	switch t {
+	case Int8:
+		for i, v := range src {
+			dst[i] = int64(int8(v))
+		}
+	case Int16:
+		for i, v := range src {
+			dst[i] = int64(int16(v))
+		}
+	case Int32:
+		for i, v := range src {
+			dst[i] = int64(int32(v))
+		}
+	case UInt8:
+		for i, v := range src {
+			dst[i] = int64(uint8(v))
+		}
+	case UInt16:
+		for i, v := range src {
+			dst[i] = int64(uint16(v))
+		}
+	case UInt32:
+		for i, v := range src {
+			dst[i] = int64(uint32(v))
+		}
+	default:
+		for i, v := range src {
+			dst[i] = t.Truncate(v)
+		}
+	}
+}
+
 // Compare returns -1, 0, or 1 comparing a and b under the type's signedness.
 // Both values must already be truncated to the type's width.
 func (t DataType) Compare(a, b int64) int {

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -76,6 +77,32 @@ func TestTruncate(t *testing.T) {
 	for _, c := range cases {
 		if got := c.dt.Truncate(c.in); got != c.want {
 			t.Errorf("%v.Truncate(%d) = %d, want %d", c.dt, c.in, got, c.want)
+		}
+	}
+}
+
+// TestTruncateInto: the bulk helper equals Truncate element for element,
+// for every type, on the values at each width's edges.
+func TestTruncateInto(t *testing.T) {
+	var in []int64
+	for _, bits := range []uint{8, 16, 32, 64} {
+		top := uint64(1) << (bits - 1)
+		for _, v := range []uint64{top, top - 1, top + 1, top<<1 - 1} {
+			in = append(in, int64(v), -int64(v))
+		}
+	}
+	in = append(in, 0, 1, -1, math.MinInt64, math.MaxInt64, 0x5A5A5A5A5A5A5A5A)
+	for dt := DataType(0); dt < numTypes; dt++ {
+		got := make([]int64, len(in)+1)
+		got[len(in)] = 42 // past the end of src: must stay untouched
+		dt.TruncateInto(got, in)
+		for i, v := range in {
+			if want := dt.Truncate(v); got[i] != want {
+				t.Errorf("%v: TruncateInto(%#x) = %#x, want %#x", dt, v, got[i], want)
+			}
+		}
+		if got[len(in)] != 42 {
+			t.Errorf("%v: TruncateInto wrote past len(src)", dt)
 		}
 	}
 }
