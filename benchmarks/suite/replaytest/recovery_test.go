@@ -61,7 +61,7 @@ func recoveryCase(t *testing.T, name string, target pim.Target, format pim.Strea
 		t.Fatal(err)
 	}
 	res, err := func() (res suite.Result, err error) {
-		// As in the pipelined battery: corrupting faults can deterministically
+		// As in the streaming battery: corrupting faults can deterministically
 		// break a benchmark's host phase before a stream is recorded — skip,
 		// don't fail.
 		defer func() {
@@ -170,7 +170,7 @@ func TestRecoveryBattery(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, format := range []pim.StreamFormat{pim.StreamBinary, pim.StreamJSON} {
-			for _, fc := range pipelineFaultConfigs {
+			for _, fc := range batteryFaultConfigs {
 				c, format, fc := c, format, fc
 				label := fmt.Sprintf("%s/%v/%v/%s", c.name, c.target, format, fc.name)
 				t.Run(label, func(t *testing.T) {

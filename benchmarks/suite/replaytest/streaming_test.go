@@ -8,15 +8,16 @@ import (
 
 	_ "pimeval/benchmarks/all" // register the benchmark suite
 	"pimeval/benchmarks/suite"
+	"pimeval/internal/cmdstream"
 	"pimeval/pim"
 )
 
-// The fault configurations the pipelined battery crosses with every
-// benchmark: fault-free, a fault rate under SEC-DED ECC (correcting), and a
-// corrupting rate without ECC. Faults are keyed by (seed, write sequence),
-// so a pipelined replay that reordered anything observable would diverge
+// The fault configurations the streaming and recovery batteries cross with
+// every benchmark: fault-free, a fault rate under SEC-DED ECC (correcting),
+// and a corrupting rate without ECC. Faults are keyed by (seed, write
+// sequence), so a replay that reordered anything observable would diverge
 // loudly here.
-var pipelineFaultConfigs = []struct {
+var batteryFaultConfigs = []struct {
 	name string
 	cfg  *pim.FaultConfig
 }{
@@ -25,13 +26,14 @@ var pipelineFaultConfigs = []struct {
 	{"corrupting", &pim.FaultConfig{Seed: 11, TransientBitRate: 1e-6}},
 }
 
-// pipelinedCase records one benchmark, encodes the stream, then replays it
-// twice from the same bytes — serial ReplaySource vs pipelined — and
-// requires every observable to be bit-identical: metrics, report, trace,
-// fault counters, and the re-recorded stream itself. With optimize set,
-// both replays read through a windowed DCE+hoist optimizer stage, so the
-// pipeline is proven to compose with streaming optimization.
-func pipelinedCase(t *testing.T, name string, target pim.Target, format pim.StreamFormat, optimize bool, faults *pim.FaultConfig) {
+// streamingCase records one benchmark, encodes the stream, then replays it
+// twice — streaming (pim.ReplaySource straight off the encoded bytes) and
+// materialized (the same records collected into a Stream, then pim.Replay)
+// — and requires every observable to be bit-identical: metrics, report,
+// trace, fault counters, and the re-recorded stream itself. With optimize
+// set, both sides read through a windowed DCE+hoist optimizer stage, so the
+// replay loop is proven to compose with streaming optimization.
+func streamingCase(t *testing.T, name string, target pim.Target, format pim.StreamFormat, optimize bool, faults *pim.FaultConfig) {
 	t.Helper()
 	b, err := suite.ByName(name)
 	if err != nil {
@@ -65,7 +67,7 @@ func pipelinedCase(t *testing.T, name string, target pim.Target, format pim.Stre
 	}
 	enc := buf.Bytes()
 
-	replay := func(pipelined bool) *pim.Device {
+	open := func() pim.StreamSource {
 		t.Helper()
 		src, err := pim.OpenStreamSource(bytes.NewReader(enc))
 		if err != nil {
@@ -77,39 +79,46 @@ func pipelinedCase(t *testing.T, name string, target pim.Target, format pim.Stre
 				t.Fatal(err)
 			}
 		}
-		dev, err := pim.ReplaySource(src, pim.ReplayConfig{
-			Workers: 1, Trace: true, Record: true, Pipelined: pipelined,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dev
+		return src
+	}
+	rc := pim.ReplayConfig{Workers: 1, Trace: true, Record: true}
+
+	streamed, err := pim.ReplaySource(open(), rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected, err := cmdstream.Collect(open())
+	if err != nil {
+		t.Fatal(err)
+	}
+	materialized, err := pim.Replay(collected, rc)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	serial := replay(false)
-	piped := replay(true)
-
-	if got, want := piped.Metrics(), serial.Metrics(); !metricsBitIdentical(got, want) {
+	if got, want := materialized.Metrics(), streamed.Metrics(); !metricsBitIdentical(got, want) {
 		t.Errorf("metrics diverged:\n got %+v\nwant %+v", got, want)
 	}
-	if got, want := piped.Report(), serial.Report(); got != want {
+	if got, want := materialized.Report(), streamed.Report(); got != want {
 		t.Errorf("report diverged:\n got:\n%s\nwant:\n%s", got, want)
 	}
-	if got, want := piped.TraceString(), serial.TraceString(); got != want {
+	if got, want := materialized.TraceString(), streamed.TraceString(); got != want {
 		t.Error("trace diverged")
 	}
-	if got, want := piped.FaultStats(), serial.FaultStats(); !reflect.DeepEqual(got, want) {
+	if got, want := materialized.FaultStats(), streamed.FaultStats(); !reflect.DeepEqual(got, want) {
 		t.Errorf("fault counters diverged:\n got %+v\nwant %+v", got, want)
 	}
-	if got, want := piped.RecordedStream(), serial.RecordedStream(); !reflect.DeepEqual(got, want) {
+	if got, want := materialized.RecordedStream(), streamed.RecordedStream(); !reflect.DeepEqual(got, want) {
 		t.Errorf("re-recorded streams diverged (%d records vs %d)",
 			len(got.Records), len(want.Records))
 	}
 }
 
-// TestPipelinedReplayBattery is the pipelined-vs-serial differential
-// battery: every suite benchmark x binary/JSON encodings x optimized
-// (DCE+hoist) replay on/off x fault configurations. In -short mode a
+// TestPipelinedReplayBattery is the streaming-versus-materialized
+// differential battery: every suite benchmark x binary/JSON encodings x
+// optimized (DCE+hoist) replay on/off x fault configurations. (It kept its
+// name and case labels from the decode-ahead replay stage it used to check;
+// DESIGN.md §14 records why that stage was removed.) In -short mode a
 // representative benchmark per architecture runs the full inner cross; the
 // whole suite runs otherwise. Architectures rotate across benchmarks so
 // all three digital targets stay covered.
@@ -134,11 +143,11 @@ func TestPipelinedReplayBattery(t *testing.T) {
 	for _, c := range cases {
 		for _, format := range []pim.StreamFormat{pim.StreamBinary, pim.StreamJSON} {
 			for _, optimize := range []bool{false, true} {
-				for _, fc := range pipelineFaultConfigs {
+				for _, fc := range batteryFaultConfigs {
 					c, format, optimize, fc := c, format, optimize, fc
 					label := fmt.Sprintf("%s/%v/%v/opt=%v/%s", c.name, c.target, format, optimize, fc.name)
 					t.Run(label, func(t *testing.T) {
-						pipelinedCase(t, c.name, c.target, format, optimize, fc.cfg)
+						streamingCase(t, c.name, c.target, format, optimize, fc.cfg)
 					})
 				}
 			}

@@ -92,7 +92,6 @@ func run(args []string, out io.Writer) error {
 		ecc        = fs.Bool("ecc", false, "enable the SEC-DED (72,64) ECC model for -record")
 		optimize   = fs.Bool("opt", false, "run the stream optimizer (all passes) on the command stream before writing (-record) or replaying (-replay)")
 		formatName = fs.String("format", "json", "stream encoding for -record: json or bin (replay auto-detects)")
-		pipeline   = fs.Bool("pipeline", false, "for -replay: decode on a pipeline stage overlapping I/O with execution (bit-identical results)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -117,7 +116,7 @@ func run(args []string, out io.Writer) error {
 		fcfg = &pim.FaultConfig{Seed: *faultSeed, TransientBitRate: *faultRate, ECC: *ecc}
 	}
 	if *replayPath != "" {
-		return replayStream(out, *replayPath, *workers, *optimize, *pipeline)
+		return replayStream(out, *replayPath, *workers, *optimize)
 	}
 	op, ok := opsByName[*opName]
 	if !ok {
@@ -317,7 +316,7 @@ func recordStream(out io.Writer, path string, format pim.StreamFormat, target pi
 // prints the device report. Without -opt the stream is replayed record by
 // record as it decodes (bounded memory, whatever the stream size); with
 // -opt it is materialized, optimized, and then replayed.
-func replayStream(out io.Writer, path string, workers int, optimize, pipeline bool) error {
+func replayStream(out io.Writer, path string, workers int, optimize bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -343,7 +342,7 @@ func replayStream(out io.Writer, path string, workers int, optimize, pipeline bo
 			return err
 		}
 		cs := &countingSource{Source: src}
-		if dev, err = pim.ReplaySource(cs, pim.ReplayConfig{Workers: workers, Pipelined: pipeline}); err != nil {
+		if dev, err = pim.ReplaySource(cs, pim.ReplayConfig{Workers: workers}); err != nil {
 			return err
 		}
 		replayed = cs.n

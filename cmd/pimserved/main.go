@@ -55,7 +55,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		rate    = fs.Float64("rate", 0, "per-tenant sessions/sec quota (0 = unlimited)")
 		burst   = fs.Int("burst", 0, "per-tenant burst (0 = max(1, ceil(rate)))")
 		maxBody = fs.Int64("max-body", 0, "max stream size in bytes (0 = 1 GiB)")
-		pipe    = fs.Bool("pipelined", false, "decode-ahead replay by default (?pipelined=0/1 overrides per request)")
 		drain   = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain deadline on shutdown")
 
 		stateDir  = fs.String("state-dir", "", "durability directory: session journal + idempotency store (empty disables)")
@@ -75,7 +74,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		TenantRate:      *rate,
 		TenantBurst:     *burst,
 		MaxBodyBytes:    *maxBody,
-		Pipelined:       *pipe,
 		Logger:          logger,
 		StateDir:        *stateDir,
 		CheckpointEvery: *ckptEvery,

@@ -677,17 +677,6 @@ func unpackChunk(chunk []int64, buf []byte, code byte) {
 	}
 }
 
-// swapPayloadBuffer installs buf (which may be nil) as the decode buffer
-// for the next payload chunk and returns the previous one — the buffer
-// backing the slice most recently returned by NextPayloadChunk. A
-// decode-ahead pipeline uses this to ship decoded frames downstream without
-// copying: it trades a recycled buffer for the filled one each frame.
-func (s *binSource) swapPayloadBuffer(buf []int64) []int64 {
-	old := s.chunkBuf
-	s.chunkBuf = buf
-	return old
-}
-
 // discardPayload drains an unconsumed pending payload.
 func (s *binSource) discardPayload() error {
 	for s.pending {

@@ -308,7 +308,7 @@ func TestOversizedPayloadFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The replay re-executes the reduction and fails on a mismatch.
-	if err := dev.ReplaySource(src); err != nil {
+	if err := cmdstream.ReplaySourceOpts(dev, src, cmdstream.ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	out, err := dev.CopyDeviceToHost(1)

@@ -298,46 +298,60 @@ func Decode(r io.Reader) (*Stream, error) {
 	return s, nil
 }
 
-// knownKinds is the set of record kinds the replayer dispatches.
-var knownKinds = map[Kind]bool{
-	KindAlloc: true, KindFree: true, KindCopyH2D: true, KindCopyD2H: true,
-	KindCopyD2D: true, KindCopyD2DRange: true, KindExec: true, KindHost: true,
-	KindRepeatBegin: true, KindRepeatEnd: true,
+// ScopeChecker is the one statement of the stream's structural rules,
+// applied record by record: every record kind must be known, and repeat
+// scopes must not nest, must carry a factor of at least 1, and must close
+// only a scope that is open. A scope still open at end of stream is a
+// truncated stream. Validate, the replay loop, and the streaming optimizer
+// all check structure through it. The zero value is ready to use.
+type ScopeChecker struct {
+	open bool
 }
 
-// KnownKind reports whether k is a record kind the replayer dispatches.
-func KnownKind(k Kind) bool { return knownKinds[k] }
-
-// Validate checks the stream's record structure statically: every record
-// kind must be known, and repeat scopes must be balanced, non-nested, and
-// carry a positive factor. Decode runs it so a malformed stream is rejected
-// up front instead of executing a prefix before failing mid-replay; the
-// replayer and optimizer run it for streams constructed in memory.
-func (s *Stream) Validate() error {
-	depth := 0
-	for i := range s.Records {
-		rec := &s.Records[i]
-		if !knownKinds[rec.Kind] {
-			return fmt.Errorf("cmdstream: seq %d: unknown record kind %q", rec.Seq, rec.Kind)
+// Check validates the next record in stream order.
+func (c *ScopeChecker) Check(rec *Record) error {
+	switch rec.Kind {
+	case KindAlloc, KindFree, KindCopyH2D, KindCopyD2H, KindCopyD2D, KindCopyD2DRange, KindExec, KindHost:
+	case KindRepeatBegin:
+		if c.open {
+			return fmt.Errorf("cmdstream: seq %d: nested repeat scope", rec.Seq)
 		}
-		switch rec.Kind {
-		case KindRepeatBegin:
-			if depth != 0 {
-				return fmt.Errorf("cmdstream: seq %d: nested repeat scope", rec.Seq)
-			}
-			if rec.Repeat < 1 {
-				return fmt.Errorf("cmdstream: seq %d: repeat scope with factor %d", rec.Seq, rec.Repeat)
-			}
-			depth++
-		case KindRepeatEnd:
-			if depth == 0 {
-				return fmt.Errorf("cmdstream: seq %d: repeat.end without matching begin", rec.Seq)
-			}
-			depth--
+		if rec.Repeat < 1 {
+			return fmt.Errorf("cmdstream: seq %d: repeat scope with factor %d", rec.Seq, rec.Repeat)
 		}
-	}
-	if depth != 0 {
-		return fmt.Errorf("cmdstream: unterminated repeat scope (%d unclosed)", depth)
+		c.open = true
+	case KindRepeatEnd:
+		if !c.open {
+			return fmt.Errorf("cmdstream: seq %d: repeat.end without matching begin", rec.Seq)
+		}
+		c.open = false
+	default:
+		return fmt.Errorf("cmdstream: seq %d: unknown record kind %q", rec.Seq, rec.Kind)
 	}
 	return nil
+}
+
+// InScope reports whether the last checked record left a repeat scope open.
+func (c *ScopeChecker) InScope() bool { return c.open }
+
+// End validates the end of the stream: no repeat scope may still be open.
+func (c *ScopeChecker) End() error {
+	if c.open {
+		return fmt.Errorf("cmdstream: %w: unterminated repeat scope", ErrTruncated)
+	}
+	return nil
+}
+
+// Validate checks the stream's record structure statically (ScopeChecker).
+// Decode runs it so a malformed stream is rejected up front instead of
+// executing a prefix before failing mid-replay; Replay and the optimizer
+// run it for streams constructed in memory.
+func (s *Stream) Validate() error {
+	var sc ScopeChecker
+	for i := range s.Records {
+		if err := sc.Check(&s.Records[i]); err != nil {
+			return err
+		}
+	}
+	return sc.End()
 }

@@ -132,7 +132,7 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 		t.Fatal("no stream recorded")
 	}
 
-	rep, err := device.NewFromStream(s, 1)
+	rep, err := device.NewFromHeader(s.Header, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestReplayVerifiesReductions(t *testing.T) {
 			s.Records[i].Result++
 		}
 	}
-	rep, err := device.NewFromStream(s, 1)
+	rep, err := device.NewFromHeader(s.Header, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestReplayVerifiesReductions(t *testing.T) {
 func TestNewFromStreamRejectsMismatchedTarget(t *testing.T) {
 	s := sampleStream()
 	s.Header.Target = "banklevel" // disagrees with TargetID 1 (fulcrum)
-	if _, err := device.NewFromStream(s, 1); err == nil {
+	if _, err := device.NewFromHeader(s.Header, 1); err == nil {
 		t.Error("mismatched target header accepted")
 	}
 }

@@ -70,54 +70,16 @@ func FusedFromRecord(rec *Record) (Fused, error) {
 
 // Replay re-executes every record of the stream against x, in order. The
 // stream is validated structurally first, so malformed scope nesting is
-// rejected before any record executes. When the stream was recorded
-// functionally, reduction results are verified against the recorded values —
-// a replay that diverges from the live run fails loudly instead of
-// producing silently different numbers.
+// rejected before any record executes; the records then run through the one
+// replay loop, ReplaySourceOpts. When the stream was recorded functionally,
+// reduction results are verified against the recorded values — a replay
+// that diverges from the live run fails loudly instead of producing
+// silently different numbers.
 func Replay(x Executor, s *Stream) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	return replay(x, s.Records, s.Header.Functional, len(s.Header.Optimized) > 0)
-}
-
-// replay walks one record sequence. Repeat scopes delegate their body back
-// through x.WithRepeat so the executor applies the same charging semantics
-// the live run did.
-func replay(x Executor, recs []Record, verify, optimized bool) error {
-	for i := 0; i < len(recs); i++ {
-		rec := &recs[i]
-		switch rec.Kind {
-		case KindRepeatBegin:
-			end := -1
-			for j := i + 1; j < len(recs); j++ {
-				if recs[j].Kind == KindRepeatBegin {
-					return fmt.Errorf("cmdstream: seq %d: nested repeat scope", recs[j].Seq)
-				}
-				if recs[j].Kind == KindRepeatEnd {
-					end = j
-					break
-				}
-			}
-			if end < 0 {
-				return fmt.Errorf("cmdstream: seq %d: unterminated repeat scope", rec.Seq)
-			}
-			inner := recs[i+1 : end]
-			if err := x.WithRepeat(rec.Repeat, func() error {
-				return replay(x, inner, verify, optimized)
-			}); err != nil {
-				return err
-			}
-			i = end
-		case KindRepeatEnd:
-			return fmt.Errorf("cmdstream: seq %d: repeat.end without matching begin", rec.Seq)
-		default:
-			if err := replayOne(x, rec, verify, optimized); err != nil {
-				return fmt.Errorf("cmdstream: seq %d (%s): %w", rec.Seq, rec.Kind, err)
-			}
-		}
-	}
-	return nil
+	return ReplaySourceOpts(x, FromStream(s), ReplayOptions{})
 }
 
 // replayOne executes a single non-structural record.

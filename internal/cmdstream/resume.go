@@ -5,8 +5,8 @@ import (
 	"io"
 )
 
-// ReplayOptions configures resumable replay (ReplaySourceOpts). The zero
-// value replays the whole source with no checkpoints — exactly ReplaySource.
+// ReplayOptions configures ReplaySourceOpts. The zero value replays the
+// whole source with no checkpoints.
 type ReplayOptions struct {
 	// Skip is the resume cursor: the number of leading records (counting
 	// every record, including repeat.begin/repeat.end) to consume without
@@ -25,12 +25,21 @@ type ReplayOptions struct {
 	Checkpoint func(consumed int64) error
 }
 
-// ReplaySourceOpts is ReplaySource with resume and checkpoint control: it
-// skips opts.Skip records, then re-executes the remainder, invoking
-// opts.Checkpoint at unit boundaries every opts.CheckpointEvery records.
-// Because every layer of the stack is deterministic, a replay resumed from a
-// restored executor at cursor N is bit-identical to an uninterrupted replay —
-// the property the recovery battery in benchmarks/suite/replaytest proves.
+// ReplaySourceOpts is the replay loop: it re-executes src against x record
+// by record as the records are produced. Only the current record (or the
+// current repeat-scope body) is resident, and h2d payloads stream through
+// bounded chunks when both the source (ChunkedSource) and the executor
+// (ChunkedExecutor) support it. Structure is checked incrementally
+// (ScopeChecker), so a malformed suffix is detected only after the
+// preceding records have executed; Replay validates a materialized stream
+// up front instead.
+//
+// The first opts.Skip records are structure-checked but not executed, and
+// opts.Checkpoint fires at unit boundaries every opts.CheckpointEvery
+// records. Because every layer of the stack is deterministic, a replay
+// resumed from a restored executor at cursor N is bit-identical to an
+// uninterrupted replay — the property the recovery battery in
+// benchmarks/suite/replaytest proves.
 func ReplaySourceOpts(x Executor, src Source, opts ReplayOptions) error {
 	if opts.Skip < 0 {
 		return fmt.Errorf("cmdstream: negative resume cursor %d", opts.Skip)
@@ -44,49 +53,19 @@ func ReplaySourceOpts(x Executor, src Source, opts ReplayOptions) error {
 	cs, _ := src.(ChunkedSource)
 	ce, _ := x.(ChunkedExecutor)
 
+	var sc ScopeChecker
 	var consumed int64 // records pulled from src, skipped ones included
-	depth := 0
-
-	// Skip phase: consume the resume prefix without executing. Structure is
-	// still validated (unknown kinds, scope nesting) so a corrupt stream or
-	// cursor fails cleanly; undrained chunked payloads are discarded by the
-	// source's own Next contract.
-	for consumed < opts.Skip {
-		rec, err := src.Next()
-		if err == io.EOF {
-			return fmt.Errorf("cmdstream: %w: stream ends at record %d, resume cursor %d",
-				ErrTruncated, consumed, opts.Skip)
-		}
-		if err != nil {
-			return err
-		}
-		consumed++
-		if !knownKinds[rec.Kind] {
-			return fmt.Errorf("cmdstream: seq %d: unknown record kind %q", rec.Seq, rec.Kind)
-		}
-		switch rec.Kind {
-		case KindRepeatBegin:
-			if depth != 0 {
-				return fmt.Errorf("cmdstream: seq %d: nested repeat scope", rec.Seq)
-			}
-			if rec.Repeat < 1 {
-				return fmt.Errorf("cmdstream: seq %d: repeat scope with factor %d", rec.Seq, rec.Repeat)
-			}
-			depth = 1
-		case KindRepeatEnd:
-			if depth == 0 {
-				return fmt.Errorf("cmdstream: seq %d: repeat.end without matching begin", rec.Seq)
-			}
-			depth = 0
-		}
-	}
-	if depth != 0 {
-		return fmt.Errorf("cmdstream: %w: resume cursor %d inside repeat scope", ErrFormat, opts.Skip)
-	}
-
-	lastCheckpoint := consumed
+	lastCheckpoint := opts.Skip
 	var scope []Record // buffered body of the open repeat scope
 	var factor int64
+	body := func() error {
+		for i := range scope {
+			if err := replayOne(x, &scope[i], verify, optimized); err != nil {
+				return fmt.Errorf("cmdstream: seq %d (%s): %w", scope[i].Seq, scope[i].Kind, err)
+			}
+		}
+		return nil
+	}
 	for {
 		rec, err := src.Next()
 		if err == io.EOF {
@@ -96,58 +75,51 @@ func ReplaySourceOpts(x Executor, src Source, opts ReplayOptions) error {
 			return err
 		}
 		consumed++
-		if !knownKinds[rec.Kind] {
-			return fmt.Errorf("cmdstream: seq %d: unknown record kind %q", rec.Seq, rec.Kind)
+		if err := sc.Check(rec); err != nil {
+			return err
 		}
-		switch rec.Kind {
-		case KindRepeatBegin:
-			if depth != 0 {
-				return fmt.Errorf("cmdstream: seq %d: nested repeat scope", rec.Seq)
+		if consumed <= opts.Skip {
+			// The resume prefix executes nothing; an undrained chunked
+			// payload is discarded by the source's own Next contract.
+			if consumed == opts.Skip && sc.InScope() {
+				return fmt.Errorf("cmdstream: %w: resume cursor %d inside repeat scope", ErrFormat, opts.Skip)
 			}
-			if rec.Repeat < 1 {
-				return fmt.Errorf("cmdstream: seq %d: repeat scope with factor %d", rec.Seq, rec.Repeat)
-			}
-			depth, factor, scope = 1, rec.Repeat, scope[:0]
 			continue
-		case KindRepeatEnd:
-			if depth == 0 {
-				return fmt.Errorf("cmdstream: seq %d: repeat.end without matching begin", rec.Seq)
-			}
-			depth = 0
-			body := scope
-			if err := x.WithRepeat(factor, func() error {
-				return replay(x, body, verify, optimized)
-			}); err != nil {
+		}
+		switch {
+		case rec.Kind == KindRepeatBegin:
+			factor, scope = rec.Repeat, scope[:0]
+			continue
+		case rec.Kind == KindRepeatEnd:
+			// The body replays through WithRepeat as one unit, so the
+			// executor applies the live run's charging semantics.
+			if err := x.WithRepeat(factor, body); err != nil {
 				return err
 			}
-		default:
-			if depth > 0 {
-				// Scope bodies replay through WithRepeat as one unit, so the
-				// body is buffered (scopes are bounded; payloads inside them
-				// materialize).
-				if err := Materialize(src, rec); err != nil {
-					return err
-				}
-				scope = append(scope, *rec)
-				continue
+		case sc.InScope():
+			// Scope bodies are buffered (scopes are bounded; payloads
+			// inside them materialize).
+			if err := Materialize(src, rec); err != nil {
+				return err
 			}
-			if rec.Kind == KindCopyH2D && cs != nil && ce != nil && cs.PendingPayload() {
-				// The out-of-core h2d path: the payload flows source → device
-				// in bounded chunks and is never materialized.
-				if err := ce.CopyHostToDeviceFrom(ObjID(rec.Obj), cs.NextPayloadChunk); err != nil {
-					return fmt.Errorf("cmdstream: seq %d (%s): %w", rec.Seq, rec.Kind, err)
-				}
-			} else {
-				if err := Materialize(src, rec); err != nil {
-					return err
-				}
-				if err := replayOne(x, rec, verify, optimized); err != nil {
-					return fmt.Errorf("cmdstream: seq %d (%s): %w", rec.Seq, rec.Kind, err)
-				}
+			scope = append(scope, *rec)
+			continue
+		case rec.Kind == KindCopyH2D && cs != nil && ce != nil && cs.PendingPayload():
+			// The out-of-core h2d path: the payload flows source → device
+			// in bounded chunks and is never materialized.
+			if err := ce.CopyHostToDeviceFrom(ObjID(rec.Obj), cs.NextPayloadChunk); err != nil {
+				return fmt.Errorf("cmdstream: seq %d (%s): %w", rec.Seq, rec.Kind, err)
+			}
+		default:
+			if err := Materialize(src, rec); err != nil {
+				return err
+			}
+			if err := replayOne(x, rec, verify, optimized); err != nil {
+				return fmt.Errorf("cmdstream: seq %d (%s): %w", rec.Seq, rec.Kind, err)
 			}
 		}
-		// A unit (single record or whole repeat scope) just completed at
-		// depth 0: a valid resume point.
+		// A unit (single record or whole repeat scope) just completed
+		// outside any scope: a valid resume point.
 		if opts.Checkpoint != nil && opts.CheckpointEvery > 0 &&
 			consumed-lastCheckpoint >= opts.CheckpointEvery {
 			if err := opts.Checkpoint(consumed); err != nil {
@@ -156,8 +128,9 @@ func ReplaySourceOpts(x Executor, src Source, opts ReplayOptions) error {
 			lastCheckpoint = consumed
 		}
 	}
-	if depth != 0 {
-		return fmt.Errorf("cmdstream: %w: unterminated repeat scope", ErrTruncated)
+	if consumed < opts.Skip {
+		return fmt.Errorf("cmdstream: %w: stream ends at record %d, resume cursor %d",
+			ErrTruncated, consumed, opts.Skip)
 	}
-	return nil
+	return sc.End()
 }

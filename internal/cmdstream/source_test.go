@@ -153,7 +153,7 @@ func recordSample(t *testing.T) (*device.Device, *cmdstream.Stream) {
 func TestReplaySourceMatchesReplay(t *testing.T) {
 	live, s := recordSample(t)
 
-	sliceDev, err := device.NewFromStream(s, 1)
+	sliceDev, err := device.NewFromHeader(s.Header, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestReplaySourceMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamDev.EnableTrace()
-	if err := streamDev.ReplaySource(src); err != nil {
+	if err := cmdstream.ReplaySourceOpts(streamDev, src, cmdstream.ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -206,11 +206,11 @@ func TestReplaySourceUnterminatedScope(t *testing.T) {
 	if cut < 0 {
 		t.Fatal("sample has no repeat scope")
 	}
-	d, err := device.NewFromStream(s, 1)
+	d, err := device.NewFromHeader(s.Header, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = d.ReplaySource(cmdstream.FromRecords(s.Header, s.Records[:cut]))
+	err = cmdstream.ReplaySourceOpts(d, cmdstream.FromRecords(s.Header, s.Records[:cut]), cmdstream.ReplayOptions{})
 	if !errors.Is(err, cmdstream.ErrTruncated) {
 		t.Errorf("unterminated scope: error %v does not wrap ErrTruncated", err)
 	}

@@ -67,7 +67,7 @@ func TestRawPayloadTruncation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := got.ReplaySource(src); err != nil {
+		if err := cmdstream.ReplaySourceOpts(got, src, cmdstream.ReplayOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		data, err := got.CopyDeviceToHost(id)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"pimeval/internal/cmdstream"
 	"pimeval/internal/device"
 	"pimeval/internal/dram"
 	"pimeval/internal/fault"
@@ -181,11 +182,11 @@ func TestFaultReplayReproducesInjection(t *testing.T) {
 			if s == nil || s.Header.Faults == nil {
 				t.Fatal("recorded stream missing fault configuration in header")
 			}
-			rd, err := device.NewFromStream(s, 2)
+			rd, err := device.NewFromHeader(s.Header, 2)
 			if err != nil {
-				t.Fatalf("NewFromStream: %v", err)
+				t.Fatalf("NewFromHeader: %v", err)
 			}
-			if err := rd.Replay(s); err != nil {
+			if err := cmdstream.Replay(rd, s); err != nil {
 				t.Fatalf("Replay: %v", err)
 			}
 			if got := rd.FaultCounts(); got != ref.Counts {

@@ -32,6 +32,22 @@ func recordSnapStream(t *testing.T, v snapVariant) *cmdstream.Stream {
 	return s
 }
 
+// resumeFrom restores a device from snap and replays the tail of src from
+// the snapshot's cursor, the way a resuming caller does.
+func resumeFrom(snap []byte, src cmdstream.Source) (*Device, error) {
+	d, cursor, err := RestoreSnapshot(bytes.NewReader(snap), 1)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.CheckResume(src); err != nil {
+		return nil, err
+	}
+	if err := cmdstream.ReplaySourceOpts(d, src, cmdstream.ReplayOptions{Skip: cursor}); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
 // scopeDepths returns, for each record index i, the repeat-scope depth
 // *after* consuming records [0, i).
 func scopeDepths(s *cmdstream.Stream) []int {
@@ -58,24 +74,24 @@ func TestResumeFromEveryCheckpoint(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			stream := recordSnapStream(t, v)
 
-			ref, err := NewFromStream(stream, 1)
+			ref, err := NewFromHeader(stream.Header, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ref.EnableTrace()
-			if err := ref.ReplaySource(cmdstream.FromStream(stream)); err != nil {
+			if err := cmdstream.ReplaySourceOpts(ref, cmdstream.FromStream(stream), cmdstream.ReplayOptions{}); err != nil {
 				t.Fatalf("reference replay: %v", err)
 			}
 			want := fingerprint(t, ref)
 
 			// Checkpointed replay, snapshotting at every boundary.
-			ckpt, err := NewFromStream(stream, 1)
+			ckpt, err := NewFromHeader(stream.Header, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ckpt.EnableTrace()
 			snaps := map[int64][]byte{}
-			err = ckpt.ReplaySourceOpts(cmdstream.FromStream(stream), cmdstream.ReplayOptions{
+			err = cmdstream.ReplaySourceOpts(ckpt, cmdstream.FromStream(stream), cmdstream.ReplayOptions{
 				CheckpointEvery: 1,
 				Checkpoint: func(cursor int64) error {
 					var buf bytes.Buffer
@@ -104,9 +120,9 @@ func TestResumeFromEveryCheckpoint(t *testing.T) {
 				if depths[cursor] != 0 {
 					t.Fatalf("checkpoint cursor %d inside repeat scope", cursor)
 				}
-				r, err := ReplayFrom(bytes.NewReader(snap), cmdstream.FromStream(stream), 1, cmdstream.ReplayOptions{})
+				r, err := resumeFrom(snap, cmdstream.FromStream(stream))
 				if err != nil {
-					t.Fatalf("ReplayFrom at cursor %d: %v", cursor, err)
+					t.Fatalf("resume at cursor %d: %v", cursor, err)
 				}
 				if got := fingerprint(t, r); got != want {
 					t.Fatalf("resume at cursor %d diverged from uninterrupted replay", cursor)
@@ -120,12 +136,12 @@ func TestResumeFromEveryCheckpoint(t *testing.T) {
 // CheckpointEvery records between callbacks, cursors strictly increasing.
 func TestResumeCheckpointCadence(t *testing.T) {
 	stream := recordSnapStream(t, snapVariant{functional: true})
-	d, err := NewFromStream(stream, 1)
+	d, err := NewFromHeader(stream.Header, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cursors []int64
-	err = d.ReplaySourceOpts(cmdstream.FromStream(stream), cmdstream.ReplayOptions{
+	err = cmdstream.ReplaySourceOpts(d, cmdstream.FromStream(stream), cmdstream.ReplayOptions{
 		CheckpointEvery: 3,
 		Checkpoint: func(cursor int64) error {
 			cursors = append(cursors, cursor)
@@ -150,12 +166,12 @@ func TestResumeCheckpointCadence(t *testing.T) {
 // TestResumeCheckpointError proves a checkpoint failure aborts the replay.
 func TestResumeCheckpointError(t *testing.T) {
 	stream := recordSnapStream(t, snapVariant{functional: true})
-	d, err := NewFromStream(stream, 1)
+	d, err := NewFromHeader(stream.Header, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("checkpoint sink failed")
-	err = d.ReplaySourceOpts(cmdstream.FromStream(stream), cmdstream.ReplayOptions{
+	err = cmdstream.ReplaySourceOpts(d, cmdstream.FromStream(stream), cmdstream.ReplayOptions{
 		CheckpointEvery: 1,
 		Checkpoint:      func(int64) error { return boom },
 	})
@@ -171,22 +187,22 @@ func TestResumeCursorValidation(t *testing.T) {
 	depths := scopeDepths(stream)
 
 	newReplayDev := func() *Device {
-		d, err := NewFromStream(stream, 1)
+		d, err := NewFromHeader(stream.Header, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return d
 	}
 
-	if err := newReplayDev().ReplaySourceOpts(cmdstream.FromStream(stream),
+	if err := cmdstream.ReplaySourceOpts(newReplayDev(), cmdstream.FromStream(stream),
 		cmdstream.ReplayOptions{Skip: -1}); err == nil {
 		t.Error("negative skip accepted")
 	}
-	if err := newReplayDev().ReplaySourceOpts(cmdstream.FromStream(stream),
+	if err := cmdstream.ReplaySourceOpts(newReplayDev(), cmdstream.FromStream(stream),
 		cmdstream.ReplayOptions{CheckpointEvery: -1}); err == nil {
 		t.Error("negative interval accepted")
 	}
-	err := newReplayDev().ReplaySourceOpts(cmdstream.FromStream(stream),
+	err := cmdstream.ReplaySourceOpts(newReplayDev(), cmdstream.FromStream(stream),
 		cmdstream.ReplayOptions{Skip: total + 1})
 	if !errors.Is(err, cmdstream.ErrTruncated) {
 		t.Errorf("skip past end: %v", err)
@@ -202,14 +218,14 @@ func TestResumeCursorValidation(t *testing.T) {
 	if inScope < 0 {
 		t.Fatal("recorded stream has no repeat scope")
 	}
-	err = newReplayDev().ReplaySourceOpts(cmdstream.FromStream(stream),
+	err = cmdstream.ReplaySourceOpts(newReplayDev(), cmdstream.FromStream(stream),
 		cmdstream.ReplayOptions{Skip: inScope})
 	if !errors.Is(err, cmdstream.ErrFormat) {
 		t.Errorf("skip into scope: %v", err)
 	}
 }
 
-// TestResumeHeaderMismatch proves ReplayFrom rejects a stream recorded on a
+// TestResumeHeaderMismatch proves CheckResume rejects a stream recorded on a
 // different device than the snapshot's.
 func TestResumeHeaderMismatch(t *testing.T) {
 	v := snapVariant{functional: true}
@@ -221,15 +237,13 @@ func TestResumeHeaderMismatch(t *testing.T) {
 	other := *stream
 	other.Header.Target = TargetBitSerial.String()
 	other.Header.TargetID = int(TargetBitSerial)
-	if _, err := ReplayFrom(bytes.NewReader(snap.Bytes()), cmdstream.FromStream(&other), 1,
-		cmdstream.ReplayOptions{}); !errors.Is(err, ErrBadArgument) {
+	if _, err := resumeFrom(snap.Bytes(), cmdstream.FromStream(&other)); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("mismatched target accepted: %v", err)
 	}
 	modelHdr := stream.Header
 	modelHdr.Functional = false
-	if _, err := ReplayFrom(bytes.NewReader(snap.Bytes()),
-		cmdstream.FromRecords(modelHdr, stream.Records), 1,
-		cmdstream.ReplayOptions{}); !errors.Is(err, ErrBadArgument) {
+	if _, err := resumeFrom(snap.Bytes(),
+		cmdstream.FromRecords(modelHdr, stream.Records)); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("mismatched functional mode accepted: %v", err)
 	}
 }

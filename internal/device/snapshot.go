@@ -2,6 +2,7 @@ package device
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -95,8 +96,6 @@ type snapMeta struct {
 	Cursor int64            `json:"cursor"`
 	NextID int64            `json:"next_id"`
 }
-
-// snapTrace mirrors the trace sink for the trace frame.
 
 // WriteSnapshot serializes the device's full state to w, recording cursor —
 // the number of stream records consumed so far — so a resumed replay knows
@@ -409,14 +408,16 @@ func encodeTrace(t *traceSink) []byte {
 	}
 	buf = binary.AppendUvarint(buf, uint64(t.seq))
 	buf = binary.AppendUvarint(buf, uint64(len(t.entries)))
-	for _, e := range t.entries {
-		buf = binary.AppendVarint(buf, e.Seq)
-		buf = binary.AppendUvarint(buf, uint64(len(e.Name)))
-		buf = append(buf, e.Name...)
-		buf = binary.AppendVarint(buf, e.N)
-		buf = binary.AppendVarint(buf, e.Reps)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Cost.TimeNS))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Cost.EnergyPJ))
+	for _, run := range t.ordered() {
+		for _, e := range run {
+			buf = binary.AppendVarint(buf, e.Seq)
+			buf = binary.AppendUvarint(buf, uint64(len(e.Name)))
+			buf = append(buf, e.Name...)
+			buf = binary.AppendVarint(buf, e.N)
+			buf = binary.AppendVarint(buf, e.Reps)
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Cost.TimeNS))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Cost.EnergyPJ))
+		}
 	}
 	return buf
 }
@@ -467,6 +468,7 @@ func (sr *snapReader) restoreTrace(t *traceSink) error {
 	t.tracing = flag == 1
 	t.seq = int64(seq)
 	t.entries = entries
+	t.head = 0
 	return nil
 }
 
@@ -730,16 +732,20 @@ func (sr *snapReader) string() (string, error) {
 	return string(buf), nil
 }
 
-// blob reads the current frame's whole remaining payload.
+// blob reads the current frame's whole remaining payload. The buffer grows
+// with the bytes actually read, so a frame that declares a large section
+// over a short input fails as truncated without allocating the section.
 func (sr *snapReader) blob() ([]byte, error) {
 	if sr.rem > maxSnapSection {
 		return nil, fmt.Errorf("%w: section of %d bytes", ErrSnapshotCorrupt, sr.rem)
 	}
-	buf := make([]byte, sr.rem)
-	if err := sr.read(buf); err != nil {
-		return nil, err
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, sr.br, int64(sr.rem)); err != nil {
+		return nil, snapReadErr(err, "frame payload")
 	}
-	return buf, nil
+	sr.crc = crc32.Update(sr.crc, crc32.IEEETable, buf.Bytes())
+	sr.rem = 0
+	return buf.Bytes(), nil
 }
 
 // restoreObject parses one object frame into d. Allocation goes through the
@@ -773,19 +779,22 @@ func (sr *snapReader) restoreObject(d *Device) error {
 		return fmt.Errorf("%w: object %d data flag %d on functional=%v device",
 			ErrSnapshotCorrupt, id, hasData, d.cfg.Functional)
 	}
+	// The frame must carry exactly the data its header claims before the
+	// object is allocated: a frame that lies about n is rejected without
+	// allocating for it.
+	width := dt.Bytes()
+	if hasData == 0 && sr.rem != 0 {
+		return fmt.Errorf("%w: object %d: %d stray payload bytes", ErrSnapshotCorrupt, id, sr.rem)
+	}
+	if want := uint64(n) * uint64(width); hasData == 1 && sr.rem != want {
+		return fmt.Errorf("%w: object %d: %d data bytes, want %d", ErrSnapshotCorrupt, id, sr.rem, want)
+	}
 	obj, err := d.res.allocAt(ObjID(id), int64(n), dt)
 	if err != nil {
 		return fmt.Errorf("%w: object %d: %v", ErrSnapshotCorrupt, id, err)
 	}
-	width := dt.Bytes()
 	if hasData == 0 {
-		if sr.rem != 0 {
-			return fmt.Errorf("%w: object %d: %d stray payload bytes", ErrSnapshotCorrupt, id, sr.rem)
-		}
 		return nil
-	}
-	if want := uint64(n) * uint64(width); sr.rem != want {
-		return fmt.Errorf("%w: object %d: %d data bytes, want %d", ErrSnapshotCorrupt, id, sr.rem, want)
 	}
 	buf := make([]byte, snapPackElems*width)
 	for lo := int64(0); lo < obj.n; lo += snapPackElems {

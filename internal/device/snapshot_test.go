@@ -2,9 +2,12 @@ package device
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -50,7 +53,7 @@ func snapValues(n int, k int64) []int64 {
 // op history: allocations of several widths, copies, binary/scalar/unary
 // execs, a repeat scope, a free (leaving a hole in the ID sequence), and a
 // reallocation after the free.
-func buildSnapDevice(t *testing.T, v snapVariant) *Device {
+func buildSnapDevice(t testing.TB, v snapVariant) *Device {
 	t.Helper()
 	d, err := New(Config{
 		Target:     TargetFulcrum,
@@ -70,7 +73,7 @@ func buildSnapDevice(t *testing.T, v snapVariant) *Device {
 }
 
 // driveSnapOps issues the battery's representative op history on d.
-func driveSnapOps(t *testing.T, d *Device, functional bool) {
+func driveSnapOps(t testing.TB, d *Device, functional bool) {
 	t.Helper()
 	const n = 257
 	a, err := d.Alloc(n, isa.Int8)
@@ -432,4 +435,107 @@ func TestSnapshotChaosIO(t *testing.T) {
 			t.Fatalf("read budget %d: err = %v", n, err)
 		}
 	}
+}
+
+// TestSnapshotFrameLiesAboutLength proves a frame whose header promises
+// more data than the input carries is rejected before anything is
+// allocated for it: an object frame claiming 2^24 elements over 16 data
+// bytes (a 128 MiB carrier), and a meta frame declaring a 64 MiB section
+// over no bytes at all.
+func TestSnapshotFrameLiesAboutLength(t *testing.T) {
+	d := newDev(t, TargetFulcrum)
+	meta, err := json.Marshal(snapMeta{Stream: d.streamHeader(), NextID: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := func() (*bytes.Buffer, *snapWriter) {
+		var buf bytes.Buffer
+		buf.WriteString(snapMagic)
+		buf.WriteByte(snapVersion)
+		return &buf, &snapWriter{w: &buf}
+	}
+
+	object, sw := start()
+	if err := sw.blob(snapTagMeta, meta); err != nil {
+		t.Fatal(err)
+	}
+	name := isa.Int64.String()
+	hdr := binary.AppendUvarint(nil, 1)
+	hdr = binary.AppendUvarint(hdr, uint64(len(name)))
+	hdr = append(hdr, name...)
+	hdr = binary.AppendUvarint(hdr, 1<<24)
+	hdr = append(hdr, 1)
+	data := make([]byte, 16)
+	if err := sw.frameStart(snapTagObject, uint64(len(hdr)+len(data))); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.write(append(hdr, data...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.frameEnd(); err != nil {
+		t.Fatal(err)
+	}
+
+	section, sw := start()
+	if err := sw.frameStart(snapTagMeta, maxSnapSection); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		in   []byte
+		want error
+	}{
+		{"object", object.Bytes(), ErrSnapshotCorrupt},
+		{"section", section.Bytes(), ErrSnapshotTruncated},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, _, err := RestoreSnapshot(bytes.NewReader(c.in), 1)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, c.want) {
+			t.Fatalf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s: rejecting the frame allocated %d bytes, want < 1 MiB", c.name, grew)
+		}
+	}
+}
+
+// FuzzSnapshot drives the PIMS decoder with mutated snapshots. Restore must
+// never panic, every rejection must wrap a snapshot sentinel, and any input
+// it accepts must re-snapshot to exactly the same bytes.
+func FuzzSnapshot(f *testing.F) {
+	for _, v := range snapVariants() {
+		if v.name == "model" || v.name == "functional" || v.name == "functional/ecc" {
+			d := buildSnapDevice(f, v)
+			var buf bytes.Buffer
+			if err := d.WriteSnapshot(&buf, 5); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
+	var wrapped bytes.Buffer
+	if err := wrappedTraceDevice(f, 10).WriteSnapshot(&wrapped, 9); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wrapped.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, cursor, err := RestoreSnapshot(bytes.NewReader(data), 1)
+		if err != nil {
+			if !isSnapshotErr(err) {
+				t.Fatalf("error wraps no snapshot sentinel: %v", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := d.WriteSnapshot(&buf, cursor); err != nil {
+			t.Fatalf("re-snapshot of an accepted snapshot: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("accepted snapshot re-snapshots to different bytes (%d vs %d)", buf.Len(), len(data))
+		}
+	})
 }

@@ -32,11 +32,13 @@ const traceLimit = 1 << 16
 
 // traceSink is the pipeline sink behind the command trace: it renders exec
 // and copy events into trace entries while enabled, keeping the most recent
-// traceLimit entries. Sequence numbers advance only while tracing is on.
+// traceLimit entries in a ring. Sequence numbers advance only while tracing
+// is on.
 type traceSink struct {
 	tracing bool
 	seq     int64
 	entries []TraceEntry
+	head    int // index of the oldest entry once the ring is full
 }
 
 // Emit appends a trace entry for traceable (named) events while enabled.
@@ -45,13 +47,19 @@ func (t *traceSink) Emit(ev *Event) {
 		return
 	}
 	t.seq++
-	if len(t.entries) >= traceLimit {
-		copy(t.entries, t.entries[1:])
-		t.entries = t.entries[:len(t.entries)-1]
+	e := TraceEntry{Seq: t.seq, Name: ev.Name, N: ev.N, Reps: ev.Reps, Cost: ev.TraceCost}
+	if len(t.entries) < traceLimit {
+		t.entries = append(t.entries, e)
+		return
 	}
-	t.entries = append(t.entries, TraceEntry{
-		Seq: t.seq, Name: ev.Name, N: ev.N, Reps: ev.Reps, Cost: ev.TraceCost,
-	})
+	t.entries[t.head] = e
+	t.head = (t.head + 1) % traceLimit
+}
+
+// ordered returns the retained entries oldest first, as the two runs of
+// the ring: from the oldest entry to the end, then from the start.
+func (t *traceSink) ordered() [2][]TraceEntry {
+	return [2][]TraceEntry{t.entries[t.head:], t.entries[:t.head]}
 }
 
 // EnableTrace starts recording dispatched commands and copies. The trace
@@ -63,15 +71,18 @@ func (d *Device) DisableTrace() { d.pipe.trace.tracing = false }
 
 // Trace returns the recorded entries in dispatch order.
 func (d *Device) Trace() []TraceEntry {
-	return append([]TraceEntry(nil), d.pipe.trace.entries...)
+	runs := d.pipe.trace.ordered()
+	return append(append([]TraceEntry(nil), runs[0]...), runs[1]...)
 }
 
 // TraceString renders the whole trace.
 func (d *Device) TraceString() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%6s  %-16s %-15s %10s %10s\n", "seq", "command", "elements", "time", "energy")
-	for _, e := range d.pipe.trace.entries {
-		fmt.Fprintln(&b, e.String())
+	for _, run := range d.pipe.trace.ordered() {
+		for _, e := range run {
+			fmt.Fprintln(&b, e.String())
+		}
 	}
 	return b.String()
 }

@@ -45,10 +45,9 @@ import (
 // sessionMeta is the journal's write-ahead intent record, persisted before
 // the first stream byte is spooled.
 type sessionMeta struct {
-	Session   string `json:"session"`
-	Tenant    string `json:"tenant"`
-	Key       string `json:"key,omitempty"`
-	Pipelined bool   `json:"pipelined"`
+	Session string `json:"session"`
+	Tenant  string `json:"tenant"`
+	Key     string `json:"key,omitempty"`
 }
 
 // doneRecord is a completed session's stored response, replayed verbatim
@@ -454,14 +453,14 @@ func (s *Server) recoverOne(metaPath string) recoverOutcome {
 			return discard("bad stream header", err)
 		}
 	}
-	if err := dev.ReplaySourceOpts(cs, cmdstream.ReplayOptions{Skip: skip}); err != nil {
+	if err := cmdstream.ReplaySourceOpts(dev, cs, cmdstream.ReplayOptions{Skip: skip}); err != nil {
 		// A truncated spool means the client never finished submitting; its
 		// retry carries the full stream.
 		return discard("replay failed", err)
 	}
 	elapsedMS := float64(s.now().Sub(start)) / 1e6
 
-	res, err := buildResult(dev, meta.Session, meta.Tenant, meta.Pipelined, cs.n, elapsedMS)
+	res, err := buildResult(dev, meta.Session, meta.Tenant, cs.n, elapsedMS)
 	if err != nil {
 		return discard("render result", err)
 	}

@@ -174,7 +174,7 @@ func crashJournal(t *testing.T, srv *Server, fileBase string, meta sessionMeta, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = d.ReplaySourceOpts(src, cmdstream.ReplayOptions{
+		err = cmdstream.ReplaySourceOpts(d, src, cmdstream.ReplayOptions{
 			CheckpointEvery: checkpointEvery,
 			Checkpoint:      func(cursor int64) error { j.checkpoint(d, cursor); return nil },
 		})
@@ -244,6 +244,45 @@ func TestRecoverJournaledSession(t *testing.T) {
 			assertJournalEmpty(t, dir)
 		})
 	}
+}
+
+// TestRecoverLegacyPipelinedMeta: a journal whose meta was written by a
+// build that still recorded the removed "pipelined" flag recovers exactly
+// once — the extra key is ignored — and answers the retry bit-identically.
+func TestRecoverLegacyPipelinedMeta(t *testing.T) {
+	enc := encodeStream(t, recordStream(t, pim.Config{Target: pim.Fulcrum, Functional: true}), pim.StreamBinary)
+	want := localExpected(t, enc, 1)
+	dir := t.TempDir()
+	srv1 := New(Config{Devices: 1, StateDir: dir})
+	base := srv1.instance + "-s-000001"
+	crashJournal(t, srv1, base, sessionMeta{Session: "s-000001", Tenant: "default", Key: "legacy-key"}, enc, 0)
+	legacy := `{"session":"s-000001","tenant":"default","key":"legacy-key","pipelined":true}`
+	if err := os.WriteFile(filepath.Join(dir, "journal", base+".meta.json"), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2 := New(Config{Devices: 1, StateDir: dir})
+	rs, err := srv2.Recover(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Recovered != 1 || rs.Discarded != 0 {
+		t.Fatalf("recovery stats %+v, want 1 recovered", rs)
+	}
+	assertJournalEmpty(t, dir)
+
+	// A later instance finds nothing left to recover: exactly once.
+	srv3 := New(Config{Devices: 1, StateDir: dir})
+	if rs, err := srv3.Recover(context.Background()); err != nil || rs.Recovered != 0 {
+		t.Fatalf("second recovery: stats %+v, err %v; want nothing recovered", rs, err)
+	}
+	ts := httptest.NewServer(srv3)
+	defer ts.Close()
+	st, body, dedup := submitKey(t, ts, enc, "default", "legacy-key")
+	if st != http.StatusOK || !dedup {
+		t.Fatalf("retry after recovery: status %d dedup %v", st, dedup)
+	}
+	checkMatches(t, decodeResult(t, body), want)
 }
 
 func assertJournalEmpty(t *testing.T, dir string) {

@@ -215,11 +215,12 @@ func TestSubmitRoundTrip(t *testing.T) {
 		{name: "optimized-json", cfg: pim.Config{Target: pim.BankLevel, Functional: true}, format: pim.StreamJSON, optimize: true},
 		{name: "faulted-ecc-bin", cfg: pim.Config{Target: pim.Fulcrum, Functional: true, Faults: ecc}, format: pim.StreamBinary},
 		{name: "faulted-ecc-json", cfg: pim.Config{Target: pim.Fulcrum, Functional: true, Faults: ecc}, format: pim.StreamJSON},
+		// A client still sending the removed ?pipelined= parameter gets the
+		// same response: like any unknown query parameter it is ignored.
 		{name: "pipelined-bin", cfg: pim.Config{Target: pim.Fulcrum, Functional: true}, format: pim.StreamBinary, query: "?pipelined=1"},
-		{name: "serial-override", cfg: pim.Config{Target: pim.Fulcrum, Functional: true}, format: pim.StreamBinary, query: "?pipelined=0"},
 	}
 
-	srv := New(Config{Devices: 2, Workers: 1, Pipelined: false})
+	srv := New(Config{Devices: 2, Workers: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -41,7 +41,6 @@ type SubmitResult struct {
 	Tenant     string             `json:"tenant"`
 	Target     string             `json:"target"`
 	Functional bool               `json:"functional"`
-	Pipelined  bool               `json:"pipelined"`
 	Records    int64              `json:"records"`
 	Metrics    Metrics            `json:"metrics"`
 	OpMix      map[string]float64 `json:"op_mix,omitempty"`
@@ -182,11 +181,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	pipelined := s.cfg.Pipelined
-	if q := r.URL.Query().Get("pipelined"); q != "" {
-		pipelined = q == "1" || q == "true"
-	}
-
 	// Decode incrementally straight off the request body: the stream never
 	// materializes server-side, and binary h2d payloads flow into device
 	// storage in bounded chunks. With a state directory the raw bytes are
@@ -195,7 +189,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBody())
 	var stream io.Reader = body
 	j, jerr := s.dur.beginJournal(s.instance+"-"+session,
-		sessionMeta{Session: session, Tenant: tenant, Key: key, Pipelined: pipelined})
+		sessionMeta{Session: session, Tenant: tenant, Key: key})
 	if jerr != nil {
 		s.met.journalErrors.Add(1)
 		logger.Warn("session journal unavailable", "err", jerr)
@@ -237,11 +231,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 	}
-	if pipelined {
-		err = d.ReplayPipelinedOpts(cs, opts)
-	} else {
-		err = d.ReplaySourceOpts(cs, opts)
-	}
+	err = cmdstream.ReplaySourceOpts(d, cs, opts)
 	elapsedMS := float64(time.Since(start)) / 1e6
 	if err != nil {
 		st := statusFor(err)
@@ -251,7 +241,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res, err := buildResult(d, session, tenant, pipelined, cs.n, elapsedMS)
+	res, err := buildResult(d, session, tenant, cs.n, elapsedMS)
 	if err != nil {
 		s.met.sessionsFailed.Add(1)
 		reject(w, http.StatusInternalServerError, 0, err.Error())
@@ -286,7 +276,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // buildResult assembles the response from the session device. Every field
 // is produced by the same code paths the public API uses (ReportString,
 // Stats().WriteCSV, Breakdown), so it is byte-identical to a local replay.
-func buildResult(d *device.Device, session, tenant string, pipelined bool, records int64, elapsedMS float64) (*SubmitResult, error) {
+func buildResult(d *device.Device, session, tenant string, records int64, elapsedMS float64) (*SubmitResult, error) {
 	st := d.Stats()
 	b := st.Breakdown()
 	c := st.Copies()
@@ -299,7 +289,6 @@ func buildResult(d *device.Device, session, tenant string, pipelined bool, recor
 		Tenant:     tenant,
 		Target:     d.Config().Target.String(),
 		Functional: d.Config().Functional,
-		Pipelined:  pipelined,
 		Records:    records,
 		Metrics: Metrics{
 			KernelMS:            b.Kernel.TimeMS(),

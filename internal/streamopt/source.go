@@ -1,7 +1,6 @@
 package streamopt
 
 import (
-	"fmt"
 	"io"
 
 	"pimeval/internal/cmdstream"
@@ -107,22 +106,23 @@ func (s *windowSource) Next() (*cmdstream.Record, error) {
 
 func (s *windowSource) Close() error { return s.src.Close() }
 
-// fill pulls the next window from the source, validating scope structure
-// incrementally (the slice pipeline gets this from Stream.Validate), and
-// runs the enabled window-local passes over it.
+// fill pulls the next window from the source, checking scope structure
+// incrementally (cmdstream.ScopeChecker; the slice pipeline gets the same
+// check from Stream.Validate), and runs the enabled window-local passes
+// over it.
 func (s *windowSource) fill() error {
 	s.win = s.win[:0]
 	s.pos = 0
 	var payload int64
-	depth := 0
+	var sc cmdstream.ScopeChecker
 	for {
-		if depth == 0 && (len(s.win) >= windowRecs || payload >= windowPayloadElems) {
+		if !sc.InScope() && (len(s.win) >= windowRecs || payload >= windowPayloadElems) {
 			break
 		}
 		rec, err := s.src.Next()
 		if err == io.EOF {
-			if depth != 0 {
-				return fmt.Errorf("streamopt: %w: unterminated repeat scope", cmdstream.ErrTruncated)
+			if err := sc.End(); err != nil {
+				return err
 			}
 			s.done = true
 			break
@@ -130,26 +130,11 @@ func (s *windowSource) fill() error {
 		if err != nil {
 			return err
 		}
-		if !cmdstream.KnownKind(rec.Kind) {
-			return fmt.Errorf("streamopt: seq %d: unknown record kind %q", rec.Seq, rec.Kind)
+		if err := sc.Check(rec); err != nil {
+			return err
 		}
 		if err := cmdstream.Materialize(s.src, rec); err != nil {
 			return err
-		}
-		switch rec.Kind {
-		case cmdstream.KindRepeatBegin:
-			if depth != 0 {
-				return fmt.Errorf("streamopt: seq %d: nested repeat scope", rec.Seq)
-			}
-			if rec.Repeat < 1 {
-				return fmt.Errorf("streamopt: seq %d: repeat scope with factor %d", rec.Seq, rec.Repeat)
-			}
-			depth = 1
-		case cmdstream.KindRepeatEnd:
-			if depth == 0 {
-				return fmt.Errorf("streamopt: seq %d: repeat.end without matching begin", rec.Seq)
-			}
-			depth = 0
 		}
 		s.win = append(s.win, *rec)
 		payload += int64(len(rec.Data))

@@ -46,14 +46,12 @@ func (v *Device) RecordStream() { v.d.StartRecording() }
 
 // RecordStreamTo streams the device's command stream to w in the given
 // format as operations are dispatched, so the trace never materializes in
-// memory — the recording path for paper-scale functional runs. Encoding and
-// writing run on a background stage (an AsyncSink) so they overlap the
-// execution producing the records; the bytes written are identical to a
-// synchronous encoder's. Call FinishRecording when done to drain the stage,
-// flush the encoder, and surface any deferred write error. May be combined
-// with RecordStream and with multiple destinations.
+// memory — the recording path for paper-scale functional runs. Call
+// FinishRecording when done to flush the encoder and surface any deferred
+// write error. May be combined with RecordStream and with multiple
+// destinations.
 func (v *Device) RecordStreamTo(w io.Writer, f StreamFormat) error {
-	return v.d.StartRecordingTo(cmdstream.NewAsyncSink(cmdstream.NewWriter(w, f), 0))
+	return v.d.StartRecordingTo(cmdstream.NewWriter(w, f))
 }
 
 // FinishRecording closes every streaming recording destination, returning
@@ -87,12 +85,6 @@ type ReplayConfig struct {
 	Trace bool
 	// Record re-records the replayed stream (for round-trip verification).
 	Record bool
-	// Pipelined runs decode on its own goroutine behind a bounded queue
-	// (ReplaySource only), overlapping I/O + decode with execution. Record
-	// order is exactly the serial path's, so every observable — data,
-	// statistics, trace, latency, energy, fault injection — is bit-identical;
-	// only wall-clock time changes.
-	Pipelined bool
 	// Context, when non-nil, installs a cancellation context on the replay
 	// device before the first record executes (Device.SetContext): once it
 	// is canceled or its deadline passes, the replay stops cooperatively and
@@ -100,7 +92,7 @@ type ReplayConfig struct {
 	// error. This is how a server aborts a replay when its client goes away.
 	Context context.Context
 	// CheckpointEvery is the minimum number of stream records between
-	// Checkpoint callbacks (ReplaySource and ResumeReplaySource only).
+	// Checkpoint callbacks.
 	// Checkpoints fire at unit boundaries — never inside a repeat scope —
 	// so the device state a callback observes is always self-contained.
 	// Zero disables checkpointing.
@@ -115,27 +107,19 @@ type ReplayConfig struct {
 }
 
 // Replay builds a fresh device from the stream's header and re-executes
-// every record against it. For streams recorded on a functional device,
+// every record against it. The stream is validated first, so a malformed
+// one executes nothing. For streams recorded on a functional device,
 // reduction results are verified against the recorded values during replay.
 // The returned device holds the replayed run's state and statistics.
 func Replay(s *Stream, rc ReplayConfig) (*Device, error) {
-	d, err := device.NewFromStream(s, rc.Workers)
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	d, err := device.NewFromHeader(s.Header, rc.Workers)
 	if err != nil {
 		return nil, err
 	}
-	if rc.Context != nil {
-		d.SetContext(rc.Context)
-	}
-	if rc.Trace {
-		d.EnableTrace()
-	}
-	if rc.Record {
-		d.StartRecording()
-	}
-	if err := d.Replay(s); err != nil {
-		return nil, err
-	}
-	return &Device{d: d}, nil
+	return replay(d, cmdstream.FromStream(s), rc, 0)
 }
 
 // ReplaySource builds a fresh device from the source's header and
@@ -148,6 +132,12 @@ func ReplaySource(src StreamSource, rc ReplayConfig) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
+	return replay(d, src, rc, 0)
+}
+
+// replay wires rc's context, trace, record, and checkpoint knobs onto d and
+// runs src through the replay loop from cursor skip.
+func replay(d *device.Device, src StreamSource, rc ReplayConfig, skip int64) (*Device, error) {
 	if rc.Context != nil {
 		d.SetContext(rc.Context)
 	}
@@ -158,23 +148,14 @@ func ReplaySource(src StreamSource, rc ReplayConfig) (*Device, error) {
 		d.StartRecording()
 	}
 	v := &Device{d: d}
-	if err := replayOpts(d, src, rc, v, 0); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// replayOpts drives the serial or pipelined resumable replay path with the
-// checkpoint knobs from rc, skipping the first skip records.
-func replayOpts(d *device.Device, src StreamSource, rc ReplayConfig, v *Device, skip int64) error {
 	opts := cmdstream.ReplayOptions{Skip: skip, CheckpointEvery: rc.CheckpointEvery}
 	if rc.Checkpoint != nil {
 		opts.Checkpoint = func(cursor int64) error { return rc.Checkpoint(cursor, v) }
 	}
-	if rc.Pipelined {
-		return d.ReplayPipelinedOpts(src, opts)
+	if err := cmdstream.ReplaySourceOpts(d, src, opts); err != nil {
+		return nil, err
 	}
-	return d.ReplaySourceOpts(src, opts)
+	return v, nil
 }
 
 // WriteSnapshot serializes the device's complete state — object table,
@@ -208,8 +189,7 @@ func RestoreSnapshot(r io.Reader, workers int) (*Device, int64, error) {
 // uninterrupted replay of the whole stream. src must be the same stream the
 // snapshot was taken during. rc's Trace and Record are ignored (trace state
 // comes from the snapshot; a recorder cannot reproduce skipped records);
-// Workers, Context, Pipelined, and the checkpoint knobs apply as in
-// ReplaySource.
+// Workers, Context, and the checkpoint knobs apply as in ReplaySource.
 func ResumeReplaySource(snapshot io.Reader, src StreamSource, rc ReplayConfig) (*Device, error) {
 	d, cursor, err := device.RestoreSnapshot(snapshot, rc.Workers)
 	if err != nil {
@@ -218,23 +198,6 @@ func ResumeReplaySource(snapshot io.Reader, src StreamSource, rc ReplayConfig) (
 	if err := d.CheckResume(src); err != nil {
 		return nil, err
 	}
-	if rc.Context != nil {
-		d.SetContext(rc.Context)
-	}
-	v := &Device{d: d}
-	if err := replayOpts(d, src, rc, v, cursor); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// PipelineStreamSource wraps a StreamSource in a decode-ahead pipeline
-// stage: the wrapped source runs on its own goroutine and stays a bounded
-// window (depth records, <= 0 selects the default) ahead of the consumer.
-// Records, payload frames, and errors arrive in exactly the wrapped
-// source's order. Close the returned source when done — the wrapped source
-// stays open and owned by the caller, so a pipeline can be layered around
-// any stage (a decoder, an optimizer window, …).
-func PipelineStreamSource(src StreamSource, depth int) *cmdstream.PipelineSource {
-	return cmdstream.NewPipelineSource(src, depth)
+	rc.Trace, rc.Record = false, false
+	return replay(d, src, rc, cursor)
 }

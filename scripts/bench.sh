@@ -3,7 +3,7 @@
 # optimizer, archiving the raw results.
 #
 #   scripts/bench.sh [kernels-output.json] [streamopt-output.json] \
-#                    [binstream-output.json] [pipeline-output.json] \
+#                    [binstream-output.json] [dispatch-output.json] \
 #                    [server-output.json] [recovery-output.json]
 #
 # Step 1 runs BenchmarkExecKernels (micro kernel-vs-reference loops plus the
@@ -17,12 +17,9 @@
 # benchmarks (BenchmarkBinaryStream*/BenchmarkJSONStream*: encode and decode
 # throughput plus bytes/record for the bit-packed binary format vs JSON over
 # a payload-heavy recorded stream), writing to BENCH_binstream.json. Step 4
-# runs the pipelined-execution benchmarks (BenchmarkPipelinedReplay: serial
-# vs pipelined out-of-core replay, in-memory and through a paced 150 MB/s
-# link; BenchmarkRecordStream / BenchmarkPipelineSourceDecode: async-sink
-# recording and decode-ahead throughput; BenchmarkDispatch and
-# BenchmarkParFor: dispatch-path ns/op + allocs/op and the reusable worker
-# pool), writing to BENCH_pipeline.json. Step 5 runs the stream-execution
+# runs the dispatch-path benchmarks (BenchmarkDispatch and BenchmarkParFor:
+# dispatch-path ns/op + allocs/op and the reusable worker pool), writing to
+# BENCH_dispatch.json. Step 5 runs the stream-execution
 # server load benchmark (cmd/pimload against an in-process cmd/pimserved
 # core: concurrent tenant sessions with bit-identical verification),
 # writing sessions/sec and latency percentiles to BENCH_server.json — this
@@ -43,7 +40,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_kernels.json}"
 sout="${2:-BENCH_streamopt.json}"
 bout="${3:-BENCH_binstream.json}"
-pout="${4:-BENCH_pipeline.json}"
+pout="${4:-BENCH_dispatch.json}"
 svout="${5:-BENCH_server.json}"
 rout="${6:-BENCH_recovery.json}"
 
@@ -71,14 +68,10 @@ go test -run='^$' -bench='^(BenchmarkBinaryStream|BenchmarkJSONStream)' \
 echo "==> wrote $bout"
 grep -o '"Output":"[^"]*\(Benchmark[^"]*\|ns/op[^"]*\)' "$bout" | sed 's/"Output":"//; s/\\t/\t/g; s/\\n$//' | grep -v '^Benchmark[A-Za-z]*$' || true
 
-echo "==> go test -bench PipelinedReplay|RecordStream|PipelineSourceDecode|Dispatch|ParFor -> $pout"
-go test -run='^$' \
-    -bench='^(BenchmarkPipelinedReplay|BenchmarkRecordStream|BenchmarkPipelineSourceDecode)$' \
-    -benchtime=5x -count=1 -json \
-    ./internal/cmdstream/ >"$pout"
+echo "==> go test -bench Dispatch|ParFor -> $pout"
 go test -run='^$' -bench='^(BenchmarkDispatch|BenchmarkParFor)$' \
     -benchtime=1s -count=1 -json \
-    . ./internal/par/ >>"$pout"
+    . ./internal/par/ >"$pout"
 
 echo "==> wrote $pout"
 grep -o '"Output":"[^"]*\(Benchmark[^"]*\|ns/op[^"]*\)' "$pout" | sed 's/"Output":"//; s/\\t/\t/g; s/\\n$//' | grep -v '^Benchmark[A-Za-z]*$' || true
